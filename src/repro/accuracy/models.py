@@ -16,9 +16,9 @@ leaves:
 * ``H̄`` (constrained) — Theorem 3 inference makes the leaves correlated;
   the exact variance of ``uᵀ·h̄`` is ``σ² ‖Mᵀu‖²`` where ``M`` is the
   linear inference operator.  :class:`ConstrainedTreeUncertaintyModel`
-  evaluates ``Mᵀu`` with adjoint bottom-up/top-down passes that mirror
-  :class:`repro.inference.hierarchical.HierarchicalInference` weight for
-  weight — O(num_nodes) per query, no operator matrix.
+  folds ``‖Mᵀu‖²`` into per-level weights times integer child coverages
+  under the ≤2 partly covered parents per level — O(ℓ) per query, no
+  operator matrix and no O(n) scratch.
 * ``wavelet`` — Haar synthesis cancels every detail coefficient strictly
   inside a range; only the ≤2 boundary nodes per level survive, giving a
   closed form in O(log n) per query.
@@ -123,6 +123,11 @@ def _check_ranges(los, his, domain_size: int) -> tuple[np.ndarray, np.ndarray]:
     return los, his
 
 
+#: (query × level) cells per H̄ evaluation chunk: bounds the scratch of a
+#: huge batch to a few MB.
+_CHUNK_CELLS = 1 << 16
+
+
 def _padded_size(domain_size: int, branching: int) -> int:
     """Smallest power of ``branching`` that is ``>= domain_size``."""
     padded = 1
@@ -208,15 +213,28 @@ class AdditiveUncertaintyModel(UncertaintyModel):
 
 
 class ConstrainedTreeUncertaintyModel(UncertaintyModel):
-    """Exact ``H̄`` range variance via adjoint constrained-inference passes.
+    """Exact ``H̄`` range variance in closed form, O(ℓ) per range.
 
     The served leaves are ``h̄ = M·h̃`` where ``h̃`` carries i.i.d. Laplace
     noise of variance ``σ² = 2ℓ²/ε²`` per node, so a range indicator ``u``
-    has ``Var(uᵀh̄) = σ²‖Mᵀu‖²``.  ``Mᵀu`` is evaluated by running the
-    bottom-up/top-down recurrences of
-    :class:`~repro.inference.hierarchical.HierarchicalInference` in
-    reverse with the same per-level weights — O(num_nodes) per query,
-    batched over query chunks.
+    has ``Var(uᵀh̄) = σ²‖Mᵀu‖²``.  Transposing the top-down pass of
+    :class:`~repro.inference.hierarchical.HierarchicalInference` turns
+    ``u`` into ``z̄_L = f_L − R·f_{L−1}`` per level, where ``f_L`` is each
+    node's covered leaf fraction and ``R`` repeats a parent onto its ``k``
+    children.  Transposing the bottom-up pass (own weight ``a_L``, child
+    weight ``c_L``) gives ``w̄_0 = z̄_0``, ``w̄_L = z̄_L + R(c_{L−1}·w̄_{L−1})``
+    and ``‖Mᵀu‖² = Σ_L a_L²‖w̄_L‖²``.  Each sibling group of ``z̄_L`` sums
+    to zero while ``R(·)`` is constant on it, so the cross term vanishes::
+
+        ‖w̄_L‖² = ‖z̄_L‖² + k·c_{L−1}²·‖w̄_{L−1}‖²
+        Var     = σ² Σ_L W_L·‖z̄_L‖²,   W_L = a_L² + k·c_L²·W_{L+1}
+
+    ``‖z̄_0‖² = (m/n)²`` for a range of ``m`` of the ``n`` padded leaves.
+    Below the root only the ≤2 partly covered parents (those holding
+    ``lo`` and ``hi``) contribute: with integer child coverages ``cov_j``
+    under a parent covering ``cov_p`` leaves, each adds
+    ``Σ_j (k·cov_j − cov_p)² / (k·width_L)²``.  The integer sums are exact,
+    so a range costs O(ℓ) arithmetic and no O(n) scratch.
     """
 
     kind = "H_bar"
@@ -232,64 +250,85 @@ class ConstrainedTreeUncertaintyModel(UncertaintyModel):
         self.node_variance = hierarchical_leaf_variance(
             self.layout.height, self.epsilon
         )
+        k = self.branching
+        height = self.layout.height
+        if 2 * (k * self.padded_size) ** 2 >= 1 << 63:
+            raise ReproError(
+                f"domain {self.domain_size} is too large for exact int64 "
+                f"H_bar variances at branching {k}"
+            )
+        # W_L from the leaves up; a leaf's own weight is 1.
+        weights = [1.0]
+        for level in range(height - 2, -1, -1):
+            node_height = height - level  # leaves have height 1
+            k_l = float(k**node_height)
+            k_lm1 = float(k ** (node_height - 1))
+            own_weight = (k_l - k_lm1) / (k_l - 1.0)
+            child_weight = (k_lm1 - 1.0) / (k_l - 1.0)
+            weights.append(own_weight**2 + k * child_weight**2 * weights[-1])
+        weights.reverse()
+        #: child width of the sibling groups at levels 1..ℓ-1
+        self._child_widths = k ** np.arange(height - 2, -1, -1, dtype=np.int64)
+        # σ²·W_L over the squared denominator of ‖z̄_L‖²: n² at the root,
+        # (k·width_L)² below it.
+        denominators = np.concatenate(
+            ([self.padded_size], k * self._child_widths)
+        ).astype(np.float64)
+        self._level_coefs = (
+            self.node_variance * np.array(weights) / denominators**2
+        )
 
     def range_variances(self, los, his) -> np.ndarray:
         los, his = _check_ranges(los, his, self.domain_size)
         flat_los = los.reshape(-1)
         flat_his = his.reshape(-1)
         out = np.empty(flat_los.size, dtype=np.float64)
-        # Chunk so per-level scratch stays ~tens of MB on huge trees.
-        chunk = max(1, (1 << 22) // max(1, self.layout.num_nodes))
+        chunk = max(1, _CHUNK_CELLS // self.layout.height)
         for start in range(0, flat_los.size, chunk):
             stop = min(start + chunk, flat_los.size)
-            out[start:stop] = self._chunk_variances(
+            out[start:stop] = self._closed_form(
                 flat_los[start:stop], flat_his[start:stop]
             )
         return out.reshape(los.shape)
 
-    def _chunk_variances(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-        k = self.layout.branching
-        height = self.layout.height
-        queries = los.size
-        leaves = self.padded_size
-        # Range indicators over the padded leaf domain via a diff/cumsum.
-        diff = np.zeros((queries, leaves + 1), dtype=np.float64)
-        rows = np.arange(queries)
-        diff[rows, los] = 1.0
-        diff[rows, his + 1] -= 1.0
-        u = np.cumsum(diff[:, :leaves], axis=1)
+    def _closed_form(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        k = self.branching
+        widths = self._child_widths
+        parents = k * widths
+        lo = los[:, np.newaxis]
+        hi = his[:, np.newaxis]
+        lo_first = lo - lo % parents  # first leaf of the parent holding lo
+        hi_first = hi - hi % parents
+        sums = self._group_sums(lo, np.minimum(hi, lo_first + parents - 1))
+        sums += (hi_first != lo_first) * self._group_sums(hi_first, hi)
+        lengths = his - los + 1
+        terms = np.empty((los.size, self.layout.height), dtype=np.float64)
+        terms[:, 0] = lengths * lengths
+        terms[:, 1:] = sums
+        terms *= self._level_coefs
+        # accumulate runs strictly left to right: chunking stays bit-invisible
+        return np.add.accumulate(terms, axis=1)[:, -1]
 
-        def childsum(level_values: np.ndarray) -> np.ndarray:
-            return level_values.reshape(queries, -1, k).sum(axis=2)
+    def _group_sums(self, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+        """``Σ_j (k·cov_j − cov_p)²`` for ``[first, last]`` inside one parent.
 
-        # Adjoint of the top-down pass: h[λ] = z[λ] + R((h[λ-1] - S z[λ])/k)
-        # with R = repeat-k and S = child-sum (R and S are adjoint to each
-        # other, and R∘S is self-adjoint).
-        zbar: list[np.ndarray] = [np.empty(0)] * height
-        ubar = u
-        for level in range(height - 1, 0, -1):
-            folded = childsum(ubar)
-            zbar[level] = ubar - np.repeat(folded / k, k, axis=1)
-            ubar = folded / k
-        zbar[0] = ubar  # h[0] = z[0]: the root's pull arrives unchanged
-
-        # Adjoint of the bottom-up pass: z[λ] = a_λ·h̃[λ] + c_λ·S(z[λ+1]).
-        # Accumulate top-down so each level inherits its parent's pull.
-        total = np.zeros(queries, dtype=np.float64)
-        wbar = zbar[0]
-        for level in range(height):
-            node_height = height - level  # leaves have height 1
-            k_l = float(k**node_height)
-            k_lm1 = float(k ** (node_height - 1))
-            own_weight = (k_l - k_lm1) / (k_l - 1.0) if k_l > 1.0 else 1.0
-            gradient = own_weight * wbar
-            total += np.einsum("ij,ij->i", gradient, gradient)
-            if level + 1 < height:
-                child_weight = (k_lm1 - 1.0) / (k_l - 1.0)
-                wbar = zbar[level + 1] + np.repeat(
-                    child_weight * wbar, k, axis=1
-                )
-        return self.node_variance * total
+        Equals ``k²·Σ_j cov_j² − k·cov_p²``; the covered children are a
+        partial head, full middles and a partial tail.
+        """
+        k = self.branching
+        widths = self._child_widths
+        head_child = firsts // widths
+        tail_child = lasts // widths
+        covered = lasts - firsts + 1
+        head = (head_child + 1) * widths - firsts
+        tail = lasts - tail_child * widths + 1
+        middles = tail_child - head_child - 1
+        squares = np.where(
+            middles < 0,
+            covered * covered,
+            head * head + tail * tail + middles * widths * widths,
+        )
+        return k * k * squares - k * covered * covered
 
 
 class WaveletUncertaintyModel(UncertaintyModel):
@@ -361,8 +400,12 @@ class CompositeUncertaintyModel(UncertaintyModel):
 
     Shards draw independent noise, so a range decomposes across shard
     boundaries exactly like the router decomposes counts and the
-    variances of the pieces add.  Shard geometry is passed as the plain
-    ``starts`` offsets array (no dependency on the sharding tier).
+    variances of the pieces add.  The fully covered interior shards come
+    from a prefix sum of whole-shard variances (one evaluation per
+    distinct shard model, at construction); only the ≤2 end pieces are
+    evaluated per range, batched per shard model.  Shard geometry is
+    passed as the plain ``starts`` offsets array (no dependency on the
+    sharding tier).
     """
 
     def __init__(
@@ -377,27 +420,54 @@ class CompositeUncertaintyModel(UncertaintyModel):
             )
         self.models = list(models)
         self.kind = models[0].kind if models else "?"
+        self._ends = np.append(self.starts[1:], self.domain_size) - 1
+        # Shards sharing a model object and width share one evaluation.
+        distinct: dict[tuple[int, int], int] = {}
+        self._distinct_models: list[UncertaintyModel] = []
+        whole: list[float] = []
+        self._model_index = np.empty(self.starts.size, dtype=np.int64)
+        for shard, model in enumerate(self.models):
+            last = int(self._ends[shard] - self.starts[shard])
+            index = distinct.setdefault((id(model), last), len(distinct))
+            if index == len(whole):
+                self._distinct_models.append(model)
+                whole.append(float(model.range_variances([0], [last])[0]))
+            self._model_index[shard] = index
+        #: _prefix[s] = Σ whole-shard variance of shards 0..s-1
+        self._prefix = np.concatenate(
+            ([0.0], np.cumsum(np.asarray(whole)[self._model_index]))
+        )
 
     def range_variances(self, los, his) -> np.ndarray:
         los, his = _check_ranges(los, his, self.domain_size)
-        num_shards = self.starts.size
-        ends = np.append(self.starts[1:], self.domain_size) - 1
-        lo_shards = np.searchsorted(self.starts, los, side="right") - 1
-        hi_shards = np.searchsorted(self.starts, his, side="right") - 1
-        variances = np.zeros(los.shape, dtype=np.float64)
-        for shard in range(num_shards):
-            overlap = (lo_shards <= shard) & (shard <= hi_shards)
-            if not np.any(overlap):
-                continue
-            local_lo = np.maximum(los, self.starts[shard]) - self.starts[shard]
-            local_hi = np.minimum(his, ends[shard]) - self.starts[shard]
-            # Clamp non-overlapping queries to a valid dummy range; their
-            # contribution is masked out below.
-            safe_lo = np.where(overlap, local_lo, 0)
-            safe_hi = np.where(overlap, local_hi, 0)
-            piece = self.models[shard].range_variances(safe_lo, safe_hi)
-            variances += np.where(overlap, piece, 0.0)
-        return variances
+        flat_los = los.reshape(-1)
+        flat_his = his.reshape(-1)
+        lo_shards = np.searchsorted(self.starts, flat_los, side="right") - 1
+        hi_shards = np.searchsorted(self.starts, flat_his, side="right") - 1
+        split = hi_shards > lo_shards
+        inner = lo_shards + 1
+        variances = (
+            self._prefix[np.maximum(hi_shards, inner)] - self._prefix[inner]
+        )
+        # End pieces: the lo shard's clipped piece for every range, then
+        # the hi shard's leading piece for ranges that cross a boundary.
+        piece_shards = np.concatenate((lo_shards, hi_shards[split]))
+        piece_los = np.concatenate(
+            (flat_los, self.starts[hi_shards[split]])
+        ) - self.starts[piece_shards]
+        piece_his = np.concatenate(
+            (np.minimum(flat_his, self._ends[lo_shards]), flat_his[split])
+        ) - self.starts[piece_shards]
+        pieces = np.empty(piece_shards.size, dtype=np.float64)
+        piece_models = self._model_index[piece_shards]
+        for index in np.unique(piece_models):
+            rows = piece_models == index
+            pieces[rows] = self._distinct_models[index].range_variances(
+                piece_los[rows], piece_his[rows]
+            )
+        variances += pieces[: flat_los.size]
+        variances[split] += pieces[flat_los.size :]
+        return variances.reshape(los.shape)
 
 
 def uncertainty_model_for(
@@ -460,16 +530,19 @@ def composite_uncertainty_model(
             f"expected one ε per shard, got {starts.size} starts and "
             f"{len(epsilons)} epsilons"
         )
-    ends = np.append(starts[1:], domain_size)
-    models = [
-        uncertainty_model_for(
-            estimator,
-            domain_size=int(ends[shard] - starts[shard]),
-            epsilon=epsilons[shard],
-            branching=branching,
-        )
-        for shard in range(starts.size)
-    ]
+    widths = np.diff(np.append(starts, domain_size)).tolist()
+    built: dict[tuple[int, float], UncertaintyModel] = {}
+    models = []
+    for width, epsilon in zip(widths, epsilons):
+        model = built.get((width, epsilon))
+        if model is None:
+            model = built[(width, epsilon)] = uncertainty_model_for(
+                estimator,
+                domain_size=width,
+                epsilon=epsilon,
+                branching=branching,
+            )
+        models.append(model)
     additive = [
         model for model in models if isinstance(model, AdditiveUncertaintyModel)
     ]

@@ -219,8 +219,9 @@ class ShardedStreamingEngine:
         self.breaker = breaker if breaker is not None else CircuitBreaker(name=self.name)
         self.slo = slo
         self.accuracy = AccuracyStats()
-        # Composite uncertainty models per epoch ε-vector; racy rebuilds
-        # are benign (same inputs build the same immutable model).
+        # The current release's composite uncertainty model, keyed by its
+        # ε-vector; an epoch with new ε replaces it.  Racy rebuilds are
+        # benign (same inputs build the same immutable model).
         self._uncertainty_models: dict[tuple, UncertaintyModel] = {}
         #: the schedule doubles as a per-shard allocator when it opts in.
         self._allocator = (
@@ -654,7 +655,7 @@ class ShardedStreamingEngine:
                     epsilons,
                     branching=release.branching,
                 )
-                self._uncertainty_models[model_key] = model
+                self._uncertainty_models = {model_key: model}
             variances, ci_los, ci_his, confidence = score_batch_accuracy(
                 model, batch, answers, self.slo, self.accuracy, "sharded-stream"
             )

@@ -241,7 +241,8 @@ class StreamingHistogramEngine:
         self.breaker = breaker if breaker is not None else CircuitBreaker(name=self.name)
         self.slo = slo
         self.accuracy = AccuracyStats()
-        # Uncertainty models per epoch ε; racy rebuilds are benign.
+        # The current release's uncertainty model, keyed by its ε; an epoch
+        # with a new ε replaces it.  Racy rebuilds are benign.
         self._uncertainty_models: dict[tuple, UncertaintyModel] = {}
         self.lineage = self._open_lineage()
         if len(self.lineage):
@@ -612,7 +613,7 @@ class StreamingHistogramEngine:
                     epsilon=release.epsilon,
                     branching=release.branching,
                 )
-                self._uncertainty_models[model_key] = model
+                self._uncertainty_models = {model_key: model}
             variances, ci_los, ci_his, confidence = score_batch_accuracy(
                 model, batch, answers, self.slo, self.accuracy, "stream"
             )

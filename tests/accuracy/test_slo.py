@@ -16,6 +16,11 @@ from repro.accuracy.slo import (
     required_epsilon,
 )
 from repro.exceptions import ReproError
+from repro.serving.planner import QueryBatch
+from repro.serving.store import ReleaseStore
+from repro.sharding.streaming import ShardedStreamingEngine
+from repro.streaming.engine import StreamingHistogramEngine
+from repro.streaming.policy import GeometricEpsilonSchedule
 
 
 class TestAccuracySLO:
@@ -138,3 +143,36 @@ class TestRequiredEpsilon:
             required_epsilon(
                 AccuracySLO(1.0), domain_size=8, range_length=9
             )
+
+
+class TestStreamModelCache:
+    """Streams keep only the live release's uncertainty model."""
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_one_model_survives_twenty_epochs(self, sharded, tmp_path):
+        counts = np.random.default_rng(15).poisson(3.0, size=128).astype(float)
+        batch = QueryBatch.random(counts.size, 50, rng=2)
+
+        def build():
+            common = dict(
+                store=ReleaseStore(tmp_path / "store"),
+                name="cache",
+                seed=9,
+                slo=AccuracySLO(target_ci_halfwidth=10.0),
+            )
+            schedule = GeometricEpsilonSchedule(0.4, decay=0.8)
+            if sharded:
+                return ShardedStreamingEngine(
+                    counts, 5.0, schedule, num_shards=4, **common
+                )
+            return StreamingHistogramEngine(counts, 5.0, schedule, **common)
+
+        engine = build()
+        for _ in range(20):
+            engine.submit(batch)
+            engine.ingest(np.arange(10))
+            engine.advance_epoch()
+        scored = engine.submit(batch)
+        assert len(engine._uncertainty_models) == 1
+        fresh = build().submit(batch)
+        assert np.array_equal(scored.variances, fresh.variances)
