@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.db.domain import padded_size
 from repro.db.histogram import HistogramBuilder, pad_counts
 from repro.db.relation import Relation
 from repro.exceptions import QueryError
@@ -183,15 +184,15 @@ class PrivateSession:
         returned estimates cover the original domain.
         """
         original_size = self.owner.domain_size
-        padded_size = pad_counts(np.zeros(original_size), branching).size
-        if padded_size != original_size:
+        padded = padded_size(original_size, branching)
+        if padded != original_size:
             # Rebuild an owner over the padded counts so the tree query lines
             # up; the padding buckets are structurally empty so the privacy
             # semantics are unchanged.
             padded_owner = DataOwner(
                 pad_counts(self._owner_counts(), branching), self.owner.budget
             )
-            query = self.analyst.hierarchical_query(padded_size, branching)
+            query = self.analyst.hierarchical_query(padded, branching)
             noisy = padded_owner.answer(query, epsilon, rng=rng, label="universal (H)")
         else:
             query = self.analyst.hierarchical_query(original_size, branching)

@@ -92,13 +92,10 @@ class TreeConsistencyConstraints:
         """
         values = self.check_shape(values)
         residuals = np.empty(self.layout.num_internal, dtype=np.float64)
-        k = self.layout.branching
-        for level in range(self.layout.height - 1):
-            parents = values[self.layout.level_slice(level)]
-            children = values[self.layout.level_slice(level + 1)]
-            child_sums = children.reshape(-1, k).sum(axis=1)
-            level_slice = self.layout.level_slice(level)
-            residuals[level_slice.start : level_slice.stop] = parents - child_sums
+        slices = self.layout.level_slices
+        for parents, children in zip(slices, slices[1:]):
+            child_sums = self.layout.child_sums(values[children])
+            np.subtract(values[parents], child_sums, out=residuals[parents])
         return residuals
 
     def satisfied_by(self, values) -> bool:

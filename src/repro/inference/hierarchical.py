@@ -20,19 +20,25 @@ by two linear passes over the tree:
 
        h̄[v] = z[v] + (1/k) * ( h̄[parent(v)] - Σ_{w ∈ succ(parent(v))} z[w] )
 
-Both passes are vectorised level by level *and across Monte Carlo trials*:
-every entry point accepts either one noisy tree (a 1-D vector of
-``num_nodes`` values) or a stacked batch of ``trials`` independent noisy
-trees (a ``(trials, num_nodes)`` matrix).  The per-level
-``reshape(-1, k).sum`` becomes ``reshape(trials, -1, k).sum(axis=2)``, so
-inferring 64 trials costs one pass over a matrix instead of 64 scalar
-passes — row ``t`` of the batched result is bit-for-bit the scalar result
-for row ``t`` of the input.
+Both passes run in place on one ``(trials, num_nodes)`` buffer, a copy of
+the input: the bottom-up pass overwrites each internal level with ``z``
+and the top-down pass overwrites each level with ``h̄``.  Every level is
+handled in one vectorised step *across Monte Carlo trials*: each entry
+point accepts either one noisy tree (a 1-D vector of ``num_nodes``
+values) or a stacked batch of ``trials`` independent noisy trees (a
+``(trials, num_nodes)`` matrix), so inferring 64 trials costs one pass
+over a matrix instead of 64 scalar passes.  The sibling sums come from
+:meth:`TreeLayout.child_sums`, and the per-child correction is added
+with one strided add per child position, so row ``t`` of the batched
+result is bit-for-bit the scalar result for row ``t`` of the input.
 
 The module also implements the Section 4.2 non-negativity heuristic: after
 inference, any subtree whose root estimate is ``<= 0`` is zeroed out
 entirely.  This is exposed as an option rather than always applied, so the
-ablation benchmark can quantify its effect.
+ablation benchmark can quantify its effect.  :meth:`infer_nonnegative`
+folds it into the top-down pass: once level ``L`` holds its final
+estimates, level ``L - 1`` is no longer read, so it is zeroed right then
+under the mask propagated from above.
 """
 
 from __future__ import annotations
@@ -63,10 +69,7 @@ class HierarchicalInference:
         (``(trials, num_nodes)``); the output matches the input shape.
         Leaves are the last ``num_leaves`` entries of each row.
         """
-        values, batched = self._check(noisy_values)
-        z_levels = self._bottom_up(values)
-        h_levels = self._top_down(z_levels)
-        return self._flatten(h_levels, batched)
+        return self._infer(noisy_values, nonnegative=False)
 
     def infer_leaves(self, noisy_values) -> np.ndarray:
         """Convenience: the consistent estimates of the unit counts only."""
@@ -79,10 +82,11 @@ class HierarchicalInference:
         ``<= 0`` is set to zero (the root and all of its descendants).
         The result is still consistent and non-negative wherever the
         heuristic fired; remaining small negative leaf estimates (under a
-        positive parent) are left untouched, matching the paper.
+        positive parent) are left untouched, matching the paper.  The
+        result equals :meth:`zero_nonpositive_subtrees` of :meth:`infer`,
+        computed within the one top-down pass.
         """
-        values = self.infer(noisy_values)
-        return self.zero_nonpositive_subtrees(values)
+        return self._infer(noisy_values, nonnegative=True)
 
     # -- heuristics --------------------------------------------------------------
 
@@ -92,76 +96,84 @@ class HierarchicalInference:
         Works on one tree or a ``(trials, num_nodes)`` batch; the "zeroed"
         mask propagates down the levels independently per trial.
         """
-        values, batched = self._check(values)
-        values = values.copy()
-        k = self.layout.branching
-        zeroed = values[:, self.layout.level_slice(0)] <= 0.0
-        values[:, self.layout.level_slice(0)][zeroed] = 0.0
-        for level in range(1, self.layout.height):
-            level_values = values[:, self.layout.level_slice(level)]
-            inherited = np.repeat(zeroed, k, axis=1)
-            zeroed = inherited | (level_values <= 0.0)
-            # Only zero where the node itself or an ancestor triggered the
-            # heuristic; other nodes keep their inferred value.
-            level_values[zeroed] = 0.0
-        return values if batched else values[0]
+        tree, batched = self._check(values)
+        zeroed = None
+        for level_slice in self.layout.level_slices:
+            zeroed = self._zero_level(tree[:, level_slice], zeroed)
+        return tree if batched else tree[0]
 
     # -- internals ----------------------------------------------------------------
 
     def _check(self, values) -> tuple[np.ndarray, bool]:
-        """Coerce to a ``(trials, num_nodes)`` matrix; flag whether input was 2-D."""
+        """Copy into a fresh ``(trials, num_nodes)`` buffer; flag 2-D input."""
         values = as_float_vector_or_matrix(values, name="noisy tree counts")
-        batched = values.ndim == 2
-        if not batched:
-            values = values[np.newaxis, :]
-        if values.shape[1] != self.layout.num_nodes:
+        if values.shape[-1] != self.layout.num_nodes:
             raise InferenceError(
                 f"expected {self.layout.num_nodes} node values per tree, "
-                f"got {values.shape[1]}"
+                f"got {values.shape[-1]}"
             )
-        return values, batched
+        tree = np.array(values, dtype=np.float64, order="C", ndmin=2)
+        return tree, values.ndim == 2
 
-    def _split_levels(self, values: np.ndarray) -> list[np.ndarray]:
-        return [
-            values[:, self.layout.level_slice(level)].copy()
-            for level in range(self.layout.height)
-        ]
+    def _infer(self, noisy_values, nonnegative: bool) -> np.ndarray:
+        tree, batched = self._check(noisy_values)
+        self._bottom_up(tree)
+        self._top_down(tree, nonnegative)
+        return tree if batched else tree[0]
 
-    def _flatten(self, levels: list[np.ndarray], batched: bool) -> np.ndarray:
-        stacked = np.concatenate(levels, axis=1)
-        return stacked if batched else stacked[0]
-
-    def _bottom_up(self, noisy: np.ndarray) -> list[np.ndarray]:
-        """Compute the ``z`` estimates level by level, leaves first."""
+    def _bottom_up(self, tree: np.ndarray) -> None:
+        """Overwrite each internal level with its ``z`` estimate, leaves first."""
         k = self.layout.branching
         height = self.layout.height
-        trials = noisy.shape[0]
-        levels = self._split_levels(noisy)
-        z_levels: list[np.ndarray] = [np.empty(0)] * height
-        z_levels[height - 1] = levels[height - 1].copy()
+        slices = self.layout.level_slices
         for level in range(height - 2, -1, -1):
             node_height = height - level  # leaves have height 1
-            child_sums = z_levels[level + 1].reshape(trials, -1, k).sum(axis=2)
             k_l = float(k**node_height)
             k_lm1 = float(k ** (node_height - 1))
             own_weight = (k_l - k_lm1) / (k_l - 1.0)
             child_weight = (k_lm1 - 1.0) / (k_l - 1.0)
-            z_levels[level] = own_weight * levels[level] + child_weight * child_sums
-        return z_levels
+            weighted_sums = self.layout.child_sums(tree[:, slices[level + 1]])
+            weighted_sums *= child_weight
+            level_values = tree[:, slices[level]]
+            level_values *= own_weight
+            level_values += weighted_sums
 
-    def _top_down(self, z_levels: list[np.ndarray]) -> list[np.ndarray]:
-        """Distribute parent/child discrepancies downward (Theorem 3 recurrence)."""
+    def _top_down(self, tree: np.ndarray, nonnegative: bool) -> None:
+        """Overwrite each level's ``z`` with ``h̄`` (Theorem 3 recurrence).
+
+        With ``nonnegative``, each parent level is zeroed under the
+        Section 4.2 mask as soon as its children are final.
+        """
         k = self.layout.branching
-        height = self.layout.height
-        trials = z_levels[0].shape[0]
-        h_levels: list[np.ndarray] = [np.empty(0)] * height
-        h_levels[0] = z_levels[0].copy()
-        for level in range(1, height):
-            parent_h = h_levels[level - 1]
-            child_sums = z_levels[level].reshape(trials, -1, k).sum(axis=2)
-            corrections = (parent_h - child_sums) / k
-            h_levels[level] = z_levels[level] + np.repeat(corrections, k, axis=1)
-        return h_levels
+        slices = self.layout.level_slices
+        zeroed = None
+        for level in range(1, self.layout.height):
+            parents = tree[:, slices[level - 1]]
+            children = tree[:, slices[level]]
+            corrections = self.layout.child_sums(children)
+            np.subtract(parents, corrections, out=corrections)
+            corrections /= k
+            for child in range(k):
+                children[:, child::k] += corrections
+            if nonnegative:
+                zeroed = self._zero_level(parents, zeroed)
+        if nonnegative:
+            self._zero_level(tree[:, slices[-1]], zeroed)
+
+    def _zero_level(
+        self, level_values: np.ndarray, parent_zeroed: np.ndarray | None
+    ) -> np.ndarray:
+        """Zero one level's nodes that are ``<= 0`` or under a zeroed parent.
+
+        Returns the level's zeroed mask, which its children inherit.
+        """
+        zeroed = level_values <= 0.0
+        if parent_zeroed is not None:
+            k = self.layout.branching
+            for child in range(k):
+                zeroed[:, child::k] |= parent_zeroed
+        level_values[zeroed] = 0.0
+        return zeroed
 
 
 def hierarchical_inference(

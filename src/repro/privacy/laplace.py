@@ -134,7 +134,10 @@ class LaplaceMechanism:
         """Return ``true_answers + <Lap(Δ_Q/ε)>``; the ε-DP noisy output."""
         answers = np.asarray(true_answers, dtype=np.float64)
         noise = laplace_noise(self.scale, answers.size, rng).reshape(answers.shape)
-        return answers + noise
+        # Freshly drawn, so shift the noise in place (IEEE addition is
+        # commutative: the bits equal ``answers + noise``).
+        noise += answers
+        return noise
 
     def randomize_many(
         self, true_answers, trials: int, rng=None

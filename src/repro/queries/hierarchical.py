@@ -79,7 +79,7 @@ class TreeLayout:
 
     # -- global shape -------------------------------------------------------
 
-    @property
+    @cached_property
     def height(self) -> int:
         """ℓ: number of nodes on a root-to-leaf path (paper's convention)."""
         leaves = self.num_leaves
@@ -89,7 +89,7 @@ class TreeLayout:
             levels += 1
         return levels
 
-    @property
+    @cached_property
     def num_nodes(self) -> int:
         """Total number of nodes ``m = (k^ℓ - 1)/(k - 1)``."""
         return (self.branching**self.height - 1) // (self.branching - 1)
@@ -120,10 +120,15 @@ class TreeLayout:
         self._check_level(level)
         return int(self._level_offsets[level])
 
+    @cached_property
+    def level_slices(self) -> tuple[slice, ...]:
+        """Breadth-first index slice of every level, root (level 0) first."""
+        bounds = self._level_offsets.tolist()
+        return tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
     def level_slice(self, level: int) -> slice:
         """Slice of breadth-first indexes occupied by ``level``."""
-        start = self.level_offset(level)
-        return slice(start, start + self.branching**level)
+        return self.level_slices[self._check_level(level)]
 
     @property
     def leaf_offset(self) -> int:
@@ -202,12 +207,41 @@ class TreeLayout:
 
     # -- aggregation and decomposition -------------------------------------------
 
+    def child_sums(
+        self, level_values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Sum each run of ``branching`` siblings along the last axis.
+
+        ``level_values`` is ``(..., w)`` with ``w`` a multiple of ``k``;
+        entry ``i`` of the ``(..., w/k)`` result is the sum of entries
+        ``i·k .. i·k + k - 1``, i.e. the children of node ``i`` one level
+        up.  ``out``, when given, receives the sums.
+
+        The bits are those of ``reshape(..., -1, k).sum(axis=-1)``.  NumPy
+        reduces a trailing axis shorter than 8 strictly left to right, so
+        for ``k < 8`` the same sums come from ``k - 1`` strided adds over
+        the level, with no reshape and no per-row reduction loop.  From
+        ``k = 8`` NumPy's reduction switches to pairwise blocks, whose
+        rounding the strided adds would not reproduce, so the reduction
+        itself is kept there.  (An all ``-0.0`` sibling run sums to
+        ``-0.0`` here and to ``+0.0`` in the reduction; the two compare
+        equal.)
+        """
+        k = self.branching
+        if k >= 8:
+            runs = level_values.reshape(*level_values.shape[:-1], -1, k)
+            return runs.sum(axis=-1, out=out)
+        sums = np.add(level_values[..., 0::k], level_values[..., 1::k], out=out)
+        for child in range(2, k):
+            sums += level_values[..., child::k]
+        return sums
+
     def aggregate(self, leaf_counts: np.ndarray) -> np.ndarray:
         """Sum leaf values up the tree, returning all node values in BFS order.
 
         ``result[v]`` is the sum of ``leaf_counts`` over ``node_interval(v)``.
-        Vectorised level by level (each level is a reshape-and-sum of the
-        one below), so the cost is ``O(num_nodes)``.
+        Each level is written in place as the :meth:`child_sums` of the one
+        below, so the cost is ``O(num_nodes)`` with no per-level copies.
         """
         leaf_counts = np.asarray(leaf_counts, dtype=np.float64)
         if leaf_counts.shape != (self.num_leaves,):
@@ -215,20 +249,14 @@ class TreeLayout:
                 f"leaf_counts has shape {leaf_counts.shape}, "
                 f"expected ({self.num_leaves},)"
             )
-        values = np.empty(self.num_nodes, dtype=np.float64)
-        values[self.level_slice(self.height - 1)] = leaf_counts
-        current = leaf_counts
-        for level in range(self.height - 2, -1, -1):
-            current = current.reshape(-1, self.branching).sum(axis=1)
-            values[self.level_slice(level)] = current
-        return values
+        return self._aggregate_into(np.empty(self.num_nodes), leaf_counts)
 
     def aggregate_many(self, leaf_counts: np.ndarray) -> np.ndarray:
         """Trial-batched :meth:`aggregate`: ``(trials, num_leaves)`` in,
         ``(trials, num_nodes)`` out.
 
         Row ``t`` of the result equals ``aggregate(leaf_counts[t])``; the
-        per-level reshape-and-sum runs once over all trials.
+        per-level child sums run once over all trials.
         """
         leaf_counts = np.asarray(leaf_counts, dtype=np.float64)
         if leaf_counts.ndim != 2 or leaf_counts.shape[1] != self.num_leaves:
@@ -236,13 +264,17 @@ class TreeLayout:
                 f"leaf_counts has shape {leaf_counts.shape}, "
                 f"expected (trials, {self.num_leaves})"
             )
-        trials = leaf_counts.shape[0]
-        values = np.empty((trials, self.num_nodes), dtype=np.float64)
-        values[:, self.level_slice(self.height - 1)] = leaf_counts
-        current = leaf_counts
+        values = np.empty((leaf_counts.shape[0], self.num_nodes))
+        return self._aggregate_into(values, leaf_counts)
+
+    def _aggregate_into(self, values: np.ndarray, leaf_counts) -> np.ndarray:
+        """Fill ``values`` (``(..., num_nodes)``) from the leaf level up."""
+        slices = self.level_slices
+        values[..., slices[-1]] = leaf_counts
         for level in range(self.height - 2, -1, -1):
-            current = current.reshape(trials, -1, self.branching).sum(axis=2)
-            values[:, self.level_slice(level)] = current
+            self.child_sums(
+                values[..., slices[level + 1]], out=values[..., slices[level]]
+            )
         return values
 
     def decompose_range(self, lo: int, hi: int) -> list[int]:
