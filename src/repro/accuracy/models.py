@@ -48,6 +48,7 @@ from repro.analysis.theory import (
     error_identity_laplace_range,
     hierarchical_leaf_variance,
 )
+from repro.db.domain import padded_size
 from repro.exceptions import ReproError
 from repro.queries.hierarchical import TreeLayout
 from repro.queries.wavelet import HaarWaveletQuery
@@ -126,14 +127,6 @@ def _check_ranges(los, his, domain_size: int) -> tuple[np.ndarray, np.ndarray]:
 #: (query × level) cells per H̄ evaluation chunk: bounds the scratch of a
 #: huge batch to a few MB.
 _CHUNK_CELLS = 1 << 16
-
-
-def _padded_size(domain_size: int, branching: int) -> int:
-    """Smallest power of ``branching`` that is ``>= domain_size``."""
-    padded = 1
-    while padded < domain_size:
-        padded *= branching
-    return padded
 
 
 class UncertaintyModel:
@@ -245,7 +238,7 @@ class ConstrainedTreeUncertaintyModel(UncertaintyModel):
         self.domain_size = int(domain_size)
         self.epsilon = _check_epsilon(epsilon)
         self.branching = int(branching)
-        self.padded_size = _padded_size(self.domain_size, self.branching)
+        self.padded_size = padded_size(self.domain_size, self.branching)
         self.layout = TreeLayout(self.padded_size, branching=self.branching)
         self.node_variance = hierarchical_leaf_variance(
             self.layout.height, self.epsilon
@@ -353,7 +346,7 @@ class WaveletUncertaintyModel(UncertaintyModel):
     def __init__(self, domain_size: int, epsilon: float) -> None:
         self.domain_size = int(domain_size)
         self.epsilon = _check_epsilon(epsilon)
-        self.padded_size = _padded_size(self.domain_size, 2)
+        self.padded_size = padded_size(self.domain_size, 2)
         query = HaarWaveletQuery(self.padded_size)
         base_scale, detail_scales = query.coefficient_scales(self.epsilon)
         self.base_variance = 2.0 * base_scale**2
@@ -399,8 +392,7 @@ class CompositeUncertaintyModel(UncertaintyModel):
     """Variance over a sharded release: sum the per-shard piece variances.
 
     Shards draw independent noise, so a range decomposes across shard
-    boundaries exactly like the router decomposes counts and the
-    variances of the pieces add.  The fully covered interior shards come
+    boundaries into per-shard pieces whose counts and variances add.  The fully covered interior shards come
     from a prefix sum of whole-shard variances (one evaluation per
     distinct shard model, at construction); only the ≤2 end pieces are
     evaluated per range, batched per shard model.  Shard geometry is
@@ -492,7 +484,7 @@ def uncertainty_model_for(
             kind="L~",
         )
     if canonical == "H~":
-        padded = _padded_size(domain_size, branching)
+        padded = padded_size(domain_size, branching)
         height = TreeLayout(padded, branching=branching).height
         return AdditiveUncertaintyModel(
             hierarchical_leaf_variance(height, epsilon),

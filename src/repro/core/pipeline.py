@@ -181,7 +181,8 @@ class PrivateSession:
         """Run the full H̄ flow, returning consistent unit counts.
 
         The domain is padded to a power of ``branching`` if necessary; the
-        returned estimates cover the original domain.
+        returned estimates cover the original domain and own their memory
+        (they do not pin the whole-tree inference buffer).
         """
         original_size = self.owner.domain_size
         padded = padded_size(original_size, branching)
@@ -198,7 +199,7 @@ class PrivateSession:
             query = self.analyst.hierarchical_query(original_size, branching)
             noisy = self.owner.answer(query, epsilon, rng=rng, label="universal (H)")
         leaves = self.analyst.infer_hierarchical(noisy, query, nonnegative=nonnegative)
-        return leaves[:original_size]
+        return leaves[:original_size].copy()
 
     def _owner_counts(self) -> np.ndarray:
         # Internal bridge used only for padding; keeps the raw counts out of

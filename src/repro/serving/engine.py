@@ -250,13 +250,13 @@ def compute_release_leaves(counts, key: ReleaseKey, delta: float = 0.0) -> np.nd
     """
     if key.estimator == "H_bar":
         scratch = PrivateSession.over_counts(counts, key.epsilon, delta=delta)
-        # np.rint matches the ConstrainedHierarchicalEstimator
-        # round_output default.
-        return np.rint(
-            scratch.universal_histogram(
-                key.epsilon, branching=key.branching, rng=key.seed
-            )
+        leaves = scratch.universal_histogram(
+            key.epsilon, branching=key.branching, rng=key.seed
         )
+        # np.rint matches the ConstrainedHierarchicalEstimator
+        # round_output default; the leaves are a fresh copy, so round
+        # them in place.
+        return np.rint(leaves, out=leaves)
     instance = resolve_estimator(key.estimator, branching=key.branching)
     return instance.fit(counts, key.epsilon, rng=key.seed).unit_estimates
 

@@ -27,7 +27,12 @@ from repro.exceptions import QueryError, ReproError
 from repro.privacy.definitions import PrivacyParameters
 from repro.utils.arrays import as_float_vector, as_range_bounds
 
-__all__ = ["ReleaseKey", "MaterializedRelease", "fingerprint_counts"]
+__all__ = [
+    "ReleaseKey",
+    "PrefixIndexedRelease",
+    "MaterializedRelease",
+    "fingerprint_counts",
+]
 
 #: On-disk format version; bump when the ``.npz`` layout changes.
 FORMAT_VERSION = 1
@@ -94,94 +99,33 @@ class ReleaseKey:
             ) from error
 
 
-class MaterializedRelease:
-    """An immutable consistent-histogram release with an O(1) range index.
+class PrefixIndexedRelease:
+    """Frozen unit estimates answered through one prefix-sum index.
 
-    Parameters
-    ----------
-    unit_estimates:
-        The released per-bucket estimates (the consistent leaves for H̄;
-        noisy unit counts for the baselines).  Copied and frozen.
-    estimator:
-        Name of the strategy that produced the estimates ("H_bar", "L~",
-        "H~", "wavelet", or "truth" for non-private ground truth).
-    epsilon:
-        Privacy parameter the release consumed.
-    dataset_fingerprint:
-        Fingerprint of the source counts (:func:`fingerprint_counts`).
-    branching:
-        Branching factor of the underlying tree query (recorded even for
-        flat strategies so the cache key is total).
-    seed:
-        The seed the mechanism noise was drawn with; materialized releases
-        require an explicit seed so that identity, not chance, determines
-        cache hits.
-
-    Range queries are answered from a precomputed prefix-sum array:
-    ``c([lo, hi]) = prefix[hi + 1] - prefix[lo]``, one subtraction per
-    query regardless of range length, and a whole batch is two fancy
-    indexing operations.
+    The one read path of every release, monolithic or sharded: a range
+    answer is a sum of released leaves, ``c([lo, hi]) = prefix[hi + 1] -
+    prefix[lo]``, one subtraction per query regardless of range length,
+    and a whole batch is two fancy indexing operations.  Because every
+    release indexes its leaves with this same ``cumsum``, releases over
+    the same leaves answer bit-identically however they were assembled.
     """
 
-    def __init__(
-        self,
-        unit_estimates,
-        *,
-        estimator: str,
-        epsilon: float,
-        dataset_fingerprint: str,
-        branching: int = 2,
-        seed: int = 0,
-    ) -> None:
-        leaves = as_float_vector(unit_estimates, name="unit_estimates").copy()
-        PrivacyParameters(float(epsilon))  # validates ε > 0
-        if int(branching) < 2:
-            raise QueryError(f"branching factor must be >= 2, got {branching}")
+    def _index(self, leaves: np.ndarray) -> None:
+        """Take ownership of ``leaves``, freeze them and build the index."""
         leaves.setflags(write=False)
         self._leaves = leaves
         prefix = np.concatenate(([0.0], np.cumsum(leaves)))
         prefix.setflags(write=False)
         self._prefix = prefix
-        self.estimator = str(estimator)
-        self.epsilon = float(epsilon)
-        self.dataset_fingerprint = str(dataset_fingerprint)
-        self.branching = int(branching)
-        self.seed = int(seed)
-
-    # -- identity -------------------------------------------------------------
-
-    @property
-    def key(self) -> ReleaseKey:
-        """The cache key this release answers for."""
-        return ReleaseKey(
-            dataset_fingerprint=self.dataset_fingerprint,
-            estimator=self.estimator,
-            epsilon=self.epsilon,
-            branching=self.branching,
-            seed=self.seed,
-        )
 
     @property
     def domain_size(self) -> int:
         """Number of unit buckets the release covers."""
         return int(self._leaves.size)
 
-    # -- answering ------------------------------------------------------------
-
     def unit_counts(self) -> np.ndarray:
         """The released unit estimates (copy)."""
         return self._leaves.copy()
-
-    def unit_counts_view(self) -> np.ndarray:
-        """The released unit estimates as a read-only view (no copy).
-
-        For bulk consumers (sharded assembly stitches many releases per
-        epoch) where the defensive copy of :meth:`unit_counts` would
-        double the transient memory.  A slice view, not the owning
-        array: ``setflags(write=True)`` on it raises, so callers cannot
-        re-enable writes and mutate the served release.
-        """
-        return self._leaves[:]
 
     def total(self) -> float:
         """Estimate of the total number of records."""
@@ -215,6 +159,81 @@ class MaterializedRelease:
         else:
             los, his = as_range_bounds(los, his, self._leaves.size)
         return self._prefix[his + 1] - self._prefix[los]
+
+
+class MaterializedRelease(PrefixIndexedRelease):
+    """An immutable consistent-histogram release with an O(1) range index.
+
+    Parameters
+    ----------
+    unit_estimates:
+        The released per-bucket estimates (the consistent leaves for H̄;
+        noisy unit counts for the baselines).  Copied and frozen.
+    estimator:
+        Name of the strategy that produced the estimates ("H_bar", "L~",
+        "H~", "wavelet", or "truth" for non-private ground truth).
+    epsilon:
+        Privacy parameter the release consumed.
+    dataset_fingerprint:
+        Fingerprint of the source counts (:func:`fingerprint_counts`).
+    branching:
+        Branching factor of the underlying tree query (recorded even for
+        flat strategies so the cache key is total).
+    seed:
+        The seed the mechanism noise was drawn with; materialized releases
+        require an explicit seed so that identity, not chance, determines
+        cache hits.
+
+    Range queries are answered from the precomputed prefix-sum index of
+    :class:`PrefixIndexedRelease`.
+    """
+
+    def __init__(
+        self,
+        unit_estimates,
+        *,
+        estimator: str,
+        epsilon: float,
+        dataset_fingerprint: str,
+        branching: int = 2,
+        seed: int = 0,
+    ) -> None:
+        leaves = as_float_vector(unit_estimates, name="unit_estimates").copy()
+        PrivacyParameters(float(epsilon))  # validates ε > 0
+        if int(branching) < 2:
+            raise QueryError(f"branching factor must be >= 2, got {branching}")
+        self._index(leaves)
+        self.estimator = str(estimator)
+        self.epsilon = float(epsilon)
+        self.dataset_fingerprint = str(dataset_fingerprint)
+        self.branching = int(branching)
+        self.seed = int(seed)
+
+    # -- identity -------------------------------------------------------------
+
+    @property
+    def key(self) -> ReleaseKey:
+        """The cache key this release answers for."""
+        return ReleaseKey(
+            dataset_fingerprint=self.dataset_fingerprint,
+            estimator=self.estimator,
+            epsilon=self.epsilon,
+            branching=self.branching,
+            seed=self.seed,
+        )
+
+    # -- answering ------------------------------------------------------------
+
+    def unit_counts_view(self) -> np.ndarray:
+        """The released unit estimates as a read-only view (no copy).
+
+        For bulk consumers (sharded assembly stitches many releases per
+        epoch) where the defensive copy of :meth:`unit_counts` would
+        double the transient memory.  A slice view, not the owning
+        array: ``setflags(write=True)`` on it raises, so callers cannot
+        re-enable writes and mutate the served release.
+        """
+        return self._leaves[:]
 
     # -- constructors ----------------------------------------------------------
 

@@ -20,14 +20,12 @@ structure*:
   process pool scales past one core (the build kernels hold the GIL),
   and releases are bit-identical for any ``(workers, worker_mode)``;
 * :class:`ShardedRelease` — the assembled, immutable serving artifact:
-  per-shard prefix indexes that bake in the cumulated totals of all
-  preceding shards, so full-shard spans cost O(1)
-  (:mod:`repro.sharding.release`);
-* :class:`ShardRouter` — decomposes each range query into ≤ 2
-  partial-shard pieces plus a run of full shards, and batch-routes
-  100k+ queries with vectorized grouped dispatch; its answers are
-  **bit-identical** to a monolithic release over the same leaves
-  (:mod:`repro.sharding.router`);
+  the concatenated shard leaves under one global prefix-sum index, the
+  same index a monolithic release builds (:mod:`repro.sharding.release`);
+* :class:`ShardRouter` — answers 100k+ query batches from that global
+  index, one subtraction per query whichever shards a range spans; its
+  answers are **bit-identical** to a monolithic release over the same
+  leaves (:mod:`repro.sharding.router`);
 * :class:`ShardedStreamingEngine` /
   :class:`~repro.sharding.lineage.ShardedLineage` — per-shard epoch
   refresh: only shards whose ingest deltas cross the refresh threshold
@@ -94,7 +92,7 @@ from repro.sharding.pool import (
     shutdown_worker_pools,
 )
 from repro.sharding.release import ShardedRelease
-from repro.sharding.router import ShardedQueryPlan, ShardRouter
+from repro.sharding.router import ShardRouter
 from repro.sharding.streaming import ShardedStreamingEngine
 
 __all__ = [
@@ -102,7 +100,6 @@ __all__ = [
     "ShardPlan",
     "resolve_plan",
     "ShardedRelease",
-    "ShardedQueryPlan",
     "ShardRouter",
     "build_shard_releases",
     "derive_shard_seed",

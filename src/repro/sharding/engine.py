@@ -444,27 +444,31 @@ class ShardedHistogramEngine:
     def _materialize(
         self, estimator, epsilon, branching, seed
     ) -> tuple[ShardedRelease, bool]:
-        keys = self.shard_keys(
-            estimator, epsilon=epsilon, branching=branching, seed=seed
-        )
-        identity = (
-            keys[0].estimator,
-            keys[0].epsilon,
-            keys[0].branching,
-            int(seed),
-            self.plan,
-        )
+        try:
+            identity = (
+                canonical_estimator_name(estimator),
+                float(epsilon),
+                self.default_branching if branching is None else int(branching),
+                int(seed),
+                self.plan,
+            )
+        except (ReproError, TypeError, ValueError):
+            identity = None  # invalid: shard_keys below raises its own error
         # Lock-free warm path: an identity this engine already assembled
-        # is served without touching the build lock, so warm traffic is
-        # never stalled behind another identity's multi-second cold build.
-        # Reads are benign races on a dict that only ever grows: a miss
-        # falls through to the locked double-check below.
+        # is served without deriving shard keys or touching the build
+        # lock, so warm traffic is never stalled behind another identity's
+        # multi-second cold build.  Invalid requests never match a stored
+        # identity.  Reads are benign races on a dict that only ever
+        # grows: a miss falls through to the locked double-check below.
         assembled = self._releases.get(identity)  # statan: ignore[LOCK001]
         if assembled is not None:
             if self._unpersisted:  # statan: ignore[LOCK001] racy peek; locked flush re-checks
                 with self._materialize_lock:
                     self._flush_unpersisted_locked()
             return assembled, False
+        keys = self.shard_keys(
+            estimator, epsilon=epsilon, branching=branching, seed=seed
+        )
         with self._materialize_lock:
             assembled = self._releases.get(identity)
             if assembled is not None:
@@ -593,7 +597,7 @@ class ShardedHistogramEngine:
 
         Variance composes across shard pieces exactly as counts do: each
         shard's model covers its local domain at its own ε, and a query's
-        variance is the sum over the pieces the router would answer from.
+        variance is the sum over its per-shard pieces.
         Homogeneous additive shard models collapse to one global model,
         making the reported variance independent of the shard count.
         """

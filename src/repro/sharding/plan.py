@@ -129,13 +129,12 @@ class ShardPlan:
         return np.searchsorted(self.boundaries, positions, side="right") - 1
 
     def shard_of_prefix(self, positions) -> np.ndarray:
-        """The shard whose prefix-sum index evaluates prefix position ``p``.
+        """The shard a prefix position ``p`` is attributed to (vectorized).
 
         Prefix positions live in ``[0, domain_size]`` (one past the last
-        bucket).  A boundary position belongs to either adjacent shard's
-        index — both store the identical global prefix value there — so
-        this maps ``p`` to the left neighbour and clamps ``p =
-        domain_size`` into the last shard.
+        bucket).  Each maps to the shard holding bucket ``p``, and ``p =
+        domain_size`` clamps into the last shard — e.g. to count how many
+        shards a batch's endpoints touch.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and (

@@ -3,21 +3,13 @@
 A :class:`ShardedRelease` stitches per-shard
 :class:`~repro.serving.release.MaterializedRelease` artifacts — each a
 normal, individually persisted release over its shard's sub-histogram —
-into one queryable release over the full domain.  Assembly builds the
-serving index once:
-
-* the **global prefix-sum array** over the concatenated shard leaves,
-  computed with exactly the arithmetic a monolithic
-  :class:`MaterializedRelease` would use (``cumsum`` left to right), so
-  answers through the :class:`~repro.sharding.router.ShardRouter` are
-  **bit-identical** to a monolithic release built over the same leaves;
-* each shard's **prefix index** is a zero-copy *view* of that global
-  array: local prefix sums with the cumulated totals of every preceding
-  shard baked in.  A full shard's mass therefore costs O(1) (it lives in
-  the offsets), and a partial shard is one gather into its own view;
-* the **boundary prefix** (global prefix at the shard boundaries) is the
-  O(k) table of cumulated shard totals the router uses for full-shard
-  spans in the stitched/distributed answering mode.
+into one queryable release over the full domain.  Assembly concatenates
+the shard leaves and indexes them exactly as a monolithic release would
+(:class:`~repro.serving.release.PrefixIndexedRelease`): H̄'s leaves are
+consistent, so every range answer is a sum of leaves, and the global
+prefix sums answer any range — within a shard or across many — with one
+subtraction, **bit-identical** to a monolithic release built over the
+same leaves.  Sharding splits the build, never the read path.
 
 The sharded release is post-processing of its shards (Proposition 2):
 assembling, persisting, or re-assembling it never touches the private
@@ -29,15 +21,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import QueryError, ReproError
-from repro.serving.release import MaterializedRelease, ReleaseKey
+from repro.exceptions import ReproError
+from repro.serving.release import (
+    MaterializedRelease,
+    PrefixIndexedRelease,
+    ReleaseKey,
+)
 from repro.sharding.plan import ShardPlan
-from repro.utils.arrays import as_range_bounds
 
 __all__ = ["ShardedRelease"]
 
 
-class ShardedRelease:
+class ShardedRelease(PrefixIndexedRelease):
     """An immutable sharded consistent-histogram release.
 
     Parameters
@@ -119,19 +114,9 @@ class ShardedRelease:
         for s, release in enumerate(shards):
             lo = int(plan.boundaries[s])
             leaves[lo : lo + release.domain_size] = release.unit_counts_view()
-        leaves.setflags(write=False)
-        self._leaves = leaves
-        # The exact arithmetic MaterializedRelease uses for its index, so
-        # router answers match a monolithic release bit for bit.
-        prefix = np.concatenate(([0.0], np.cumsum(leaves)))
-        prefix.setflags(write=False)
-        self._prefix = prefix
+        self._index(leaves)
 
     # -- geometry --------------------------------------------------------------
-
-    @property
-    def domain_size(self) -> int:
-        return self.plan.domain_size
 
     @property
     def num_shards(self) -> int:
@@ -150,57 +135,6 @@ class ShardedRelease:
     def shard_keys(self) -> tuple[ReleaseKey, ...]:
         """The full release identity of every shard artifact, in order."""
         return tuple(release.key for release in self.shard_releases)
-
-    def shard_index(self, shard: int) -> np.ndarray:
-        """Shard ``shard``'s prefix-sum index (a view, offsets baked in).
-
-        Entry ``j`` is the global prefix value at bucket ``b_s + j``: the
-        shard's local prefix sums plus the cumulated totals of every
-        preceding shard.  ``index[0]`` is the mass of all shards before
-        this one; ``index[-1]`` adds this shard's own total.
-        """
-        shard = self.plan._check_shard(shard)
-        lo = int(self.plan.boundaries[shard])
-        hi = int(self.plan.boundaries[shard + 1])
-        return self._prefix[lo : hi + 1]
-
-    @property
-    def boundary_prefix(self) -> np.ndarray:
-        """Cumulated shard totals: the global prefix at each boundary (O(k))."""
-        return self._prefix[self.plan.boundaries]
-
-    @property
-    def shard_totals(self) -> np.ndarray:
-        """Estimated total mass of each shard."""
-        return np.diff(self.boundary_prefix)
-
-    # -- answering -------------------------------------------------------------
-
-    def unit_counts(self) -> np.ndarray:
-        """The released unit estimates over the full domain (copy)."""
-        return self._leaves.copy()
-
-    def total(self) -> float:
-        """Estimate of the total number of records."""
-        return float(self._prefix[-1])
-
-    def range_sum(self, lo: int, hi: int) -> float:
-        """Estimate ``c([lo, hi])`` (inclusive) in O(1)."""
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi < self.domain_size:
-            raise QueryError(
-                f"invalid range [{lo}, {hi}] for domain size {self.domain_size}"
-            )
-        return float(self._prefix[hi + 1] - self._prefix[lo])
-
-    def range_sums(self, los, his, assume_valid: bool = False) -> np.ndarray:
-        """Batch range estimates; same contract as the monolithic release."""
-        if assume_valid:
-            los = np.asarray(los, dtype=np.int64)
-            his = np.asarray(his, dtype=np.int64)
-        else:
-            los, his = as_range_bounds(los, his, self.domain_size)
-        return self._prefix[his + 1] - self._prefix[los]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,113 +1,32 @@
-"""Routing range-query batches across shards.
+"""Answering range-query batches against sharded releases.
 
-Every inclusive range ``[lo, hi]`` decomposes against a
-:class:`~repro.sharding.plan.ShardPlan` into at most **2 partial-shard
-pieces** (the shards holding ``lo`` and ``hi``) plus a run of **k full
-shards** in between.  The :class:`ShardRouter` turns that decomposition
-into two answering modes over a
-:class:`~repro.sharding.release.ShardedRelease`:
-
-* :meth:`ShardRouter.answer` — the serving fast path.  Both endpoints of
-  every query are resolved with one ``searchsorted`` over the shard
-  boundaries, then dispatched *grouped by shard*: each shard present in
-  the batch performs one vectorized gather into its own prefix-sum
-  index.  Because each shard's index carries the cumulated totals of all
-  preceding shards in its offsets (see
-  :meth:`~repro.sharding.release.ShardedRelease.shard_index`), the full
-  shards interior to a query cost O(1) — their mass is already inside
-  the two gathered values — and the answer is a single subtraction.
-  The gathered values are exactly the global prefix sums a monolithic
-  release stores, so the answers are **bit-identical** to a monolithic
-  release over the same leaves.
-* :meth:`ShardRouter.answer_stitched` — the distributed reference.  Each
-  piece is answered where it lives: partials by the owning shard's own
-  ``range_sums`` (local prefix index), full-shard runs from the O(k)
-  cumulated-totals table, and the per-query pieces are summed.  This is
-  the arithmetic a multi-process deployment would perform (each shard
-  answers locally, a coordinator adds); it matches :meth:`answer` up to
-  float summation order and is asserted ``allclose`` in the tests.
-
-:meth:`ShardRouter.decompose` exposes the piece structure itself for
-planners, tests, and shard-at-a-time dispatch.
+H̄'s released leaves are consistent, so every range answer is a sum of
+leaves, and sharding only splits the build (parallel composition).  A
+:class:`~repro.sharding.release.ShardedRelease` therefore indexes the
+concatenated shard leaves exactly as a monolithic release does, and the
+:class:`ShardRouter` answers a whole batch from that one global prefix
+index: ``prefix[hi + 1] - prefix[lo]`` per query, whichever shards the
+range spans.  The answers are **bit-identical** to a monolithic release
+over the same leaves for every shard count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import QueryError
 from repro.serving.planner import QueryBatch
-from repro.sharding.plan import ShardPlan
 from repro.sharding.release import ShardedRelease
 
-__all__ = ["ShardedQueryPlan", "ShardRouter"]
-
-
-@dataclass(frozen=True, eq=False)
-class ShardedQueryPlan:
-    """The per-query shard decomposition of one batch.
-
-    ``eq=False`` for the same reason as :class:`QueryBatch`: array fields
-    make the generated equality ambiguous; plans compare by identity.
-    """
-
-    plan: ShardPlan
-    batch: QueryBatch
-    #: shard holding each query's lower endpoint
-    lo_shards: np.ndarray
-    #: shard holding each query's upper endpoint
-    hi_shards: np.ndarray
-
-    @property
-    def full_spans(self) -> np.ndarray:
-        """Number of interior shards each query covers completely."""
-        return np.maximum(self.hi_shards - self.lo_shards - 1, 0)
-
-    @property
-    def num_pieces(self) -> np.ndarray:
-        """Pieces per query: 1 within a shard, else 2 partials + full run."""
-        same = self.lo_shards == self.hi_shards
-        return np.where(same, 1, 2 + self.full_spans)
-
-    def pieces(self, i: int) -> list[tuple[int, int, int, str]]:
-        """Query ``i``'s pieces as ``(shard, lo_local, hi_local, kind)``.
-
-        ``kind`` is ``"interior"`` (whole query inside one shard),
-        ``"left-partial"``, ``"full"``, or ``"right-partial"``; local
-        bounds are inclusive, relative to the shard start.
-        """
-        lo = int(self.batch.los[i])
-        hi = int(self.batch.his[i])
-        s_lo = int(self.lo_shards[i])
-        s_hi = int(self.hi_shards[i])
-        bounds = self.plan.boundaries
-        if s_lo == s_hi:
-            start = int(bounds[s_lo])
-            return [(s_lo, lo - start, hi - start, "interior")]
-        pieces = [
-            (
-                s_lo,
-                lo - int(bounds[s_lo]),
-                int(bounds[s_lo + 1]) - int(bounds[s_lo]) - 1,
-                "left-partial",
-            )
-        ]
-        for s in range(s_lo + 1, s_hi):
-            pieces.append(
-                (s, 0, int(bounds[s + 1]) - int(bounds[s]) - 1, "full")
-            )
-        pieces.append((s_hi, 0, hi - int(bounds[s_hi]), "right-partial"))
-        return pieces
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:
     """Answers query batches against sharded releases.
 
     Stateless, like :class:`~repro.serving.planner.BatchQueryPlanner` —
-    the router owns no data, only the routing strategies.
+    the router owns no data, only the batch-level domain check.
     """
 
     @staticmethod
@@ -118,120 +37,12 @@ class ShardRouter:
                 f"the sharded release domain of size {release.domain_size}"
             )
 
-    def decompose(self, plan: ShardPlan, batch: QueryBatch) -> ShardedQueryPlan:
-        """Resolve every query's endpoint shards (one searchsorted each)."""
-        if batch.max_hi >= plan.domain_size:
-            raise QueryError(
-                f"batch {batch.name!r} reaches bucket {batch.max_hi}, beyond "
-                f"the plan domain of size {plan.domain_size}"
-            )
-        return ShardedQueryPlan(
-            plan=plan,
-            batch=batch,
-            lo_shards=plan.shard_of(batch.los),
-            hi_shards=plan.shard_of(batch.his),
-        )
-
-    # -- serving fast path -----------------------------------------------------
-
     def answer(self, release: ShardedRelease, batch: QueryBatch) -> np.ndarray:
-        """All answers via grouped per-shard gathers (the serving path).
-
-        Bit-identical to a monolithic release over the same leaves: the
-        per-shard indexes store global prefix values, so the grouped
-        gathers produce exactly the two values the monolithic index
-        would, and the final subtraction is the same operation.
-        """
+        """All answers from the release's global prefix index."""
         self._check(release, batch)
-        if len(batch) == 0:
-            return np.zeros(0, dtype=np.float64)
-        plan = release.plan
-        # Prefix positions of both endpoint sets, routed to the shard
-        # whose index view evaluates them.
-        positions = np.concatenate((batch.los, batch.his + 1))
-        shards = plan.shard_of_prefix(positions)
-        gathered = np.empty(positions.size, dtype=np.float64)
-        order = np.argsort(shards, kind="stable")
-        sorted_shards = shards[order]
-        sorted_positions = positions[order]
-        group_starts = np.searchsorted(
-            sorted_shards, np.arange(plan.num_shards + 1)
-        )
-        starts = plan.boundaries
-        touched = np.unique(sorted_shards)
-        for shard in touched:
-            lo, hi = group_starts[shard], group_starts[shard + 1]
-            index = release.shard_index(shard)
-            local = sorted_positions[lo:hi] - starts[shard]
-            gathered[order[lo:hi]] = index[local]
+        answers = release.range_sums(batch.los, batch.his, assume_valid=True)
         if obs.enabled():
-            registry = obs.registry()
-            registry.counter(
+            obs.registry().counter(
                 "repro_router_batches_total", "Batches routed across shards"
             ).inc()
-            registry.counter(
-                "repro_router_gather_groups_total",
-                "Per-shard vectorized gathers performed",
-            ).inc(int(touched.size))
-        q = len(batch)
-        return gathered[q:] - gathered[:q]
-
-    # -- distributed reference -------------------------------------------------
-
-    def answer_stitched(
-        self, release: ShardedRelease, batch: QueryBatch
-    ) -> np.ndarray:
-        """Answers stitched piece by piece — the distributed semantics.
-
-        Partial pieces are answered by the owning shard's *own* release
-        (its local prefix-sum index, exactly what a remote shard server
-        would compute), full-shard runs come from the O(k)
-        cumulated-totals table, and each query sums its ≤ 3 terms.
-        Differs from :meth:`answer` only in float summation order.
-        """
-        self._check(release, batch)
-        if len(batch) == 0:
-            return np.zeros(0, dtype=np.float64)
-        plan = release.plan
-        routed = self.decompose(plan, batch)
-        lo_s, hi_s = routed.lo_shards, routed.hi_shards
-        starts = plan.boundaries
-        same = lo_s == hi_s
-        # Left piece: [lo, min(hi, shard end)] inside the lo shard —
-        # the whole query when it is interior to one shard.
-        left_hi = np.minimum(batch.his, starts[lo_s + 1] - 1)
-        left = self._local_sums(release, lo_s, batch.los, left_hi)
-        # Full interior run, O(1) per query from cumulated shard totals.
-        totals = release.boundary_prefix
-        spanning = ~same
-        full = np.zeros(len(batch), dtype=np.float64)
-        full[spanning] = (
-            totals[hi_s[spanning]] - totals[lo_s[spanning] + 1]
-        )
-        # Right piece: [shard start, hi] inside the hi shard.
-        right = np.zeros(len(batch), dtype=np.float64)
-        if np.any(spanning):
-            right[spanning] = self._local_sums(
-                release,
-                hi_s[spanning],
-                starts[hi_s[spanning]],
-                batch.his[spanning],
-            )
-        return left + full + right
-
-    @staticmethod
-    def _local_sums(
-        release: ShardedRelease, shards: np.ndarray, los: np.ndarray, his: np.ndarray
-    ) -> np.ndarray:
-        """Per-shard local range sums, dispatched one shard group at a time."""
-        answers = np.empty(shards.size, dtype=np.float64)
-        starts = release.plan.boundaries
-        for shard in np.unique(shards):
-            member = shards == shard
-            local = release.shard_releases[shard]
-            answers[member] = local.range_sums(
-                los[member] - starts[shard],
-                his[member] - starts[shard],
-                assume_valid=True,
-            )
         return answers

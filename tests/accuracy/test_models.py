@@ -30,7 +30,7 @@ from repro.analysis.theory import (
     error_identity_laplace_range,
     hierarchical_leaf_variance,
 )
-from repro.exceptions import ReproError
+from repro.exceptions import DomainError, ReproError
 from repro.inference.hierarchical import HierarchicalInference
 from repro.queries.hierarchical import TreeLayout
 from repro.queries.wavelet import HaarWaveletQuery
@@ -340,6 +340,22 @@ class TestWaveletModel:
         want = HaarWaveletQuery(16).expected_leaf_variance(1.0)
         got = model.range_variances(np.arange(16), np.arange(16))
         assert got == pytest.approx(np.full(16, want), rel=1e-12)
+
+
+class TestDomainValidation:
+    """Both padded models reject a domain or fan-out no tree can cover."""
+
+    @pytest.mark.parametrize("domain_size", [0, -3])
+    def test_non_positive_domain_rejected(self, domain_size):
+        with pytest.raises(DomainError):
+            ConstrainedTreeUncertaintyModel(domain_size, 1.0)
+        with pytest.raises(DomainError):
+            WaveletUncertaintyModel(domain_size, 1.0)
+
+    def test_unary_branching_rejected(self):
+        # Padding by powers of 1 never reaches the domain size.
+        with pytest.raises(DomainError):
+            ConstrainedTreeUncertaintyModel(5, 1.0, branching=1)
 
 
 class TestCompositeModel:

@@ -128,6 +128,15 @@ class TestPrivateSession:
         estimate = session.universal_histogram(0.5, rng=0)
         assert estimate.size == 10
 
+    @pytest.mark.parametrize("size", [1000, 1024])
+    def test_universal_flow_owns_its_leaves(self, size):
+        # A view would pin the whole (num_nodes,) inference buffer.
+        counts = np.arange(size, dtype=float)
+        session = PrivateSession.over_counts(counts, total_epsilon=1.0)
+        estimate = session.universal_histogram(0.5, rng=0)
+        assert estimate.base is None
+        assert estimate.flags.owndata and estimate.nbytes == size * 8
+
     def test_over_relation(self, paper_relation):
         session = PrivateSession.over_relation(paper_relation, "src", total_epsilon=2.0)
         estimate = session.unattributed_histogram(1.0, rng=0)

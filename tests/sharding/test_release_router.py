@@ -11,6 +11,7 @@ from repro.serving.release import MaterializedRelease
 from repro.sharding.plan import ShardPlan
 from repro.sharding.release import ShardedRelease
 from repro.sharding.router import ShardRouter
+from stitching import answer_stitched
 
 
 def shard_release(values, seed, epsilon=0.1) -> MaterializedRelease:
@@ -42,18 +43,6 @@ class TestAssembly:
         assert release.shard_seeds == (0, 1, 2)
         assert np.array_equal(release.unit_counts(), leaves)
         assert release.total() == pytest.approx(leaves.sum())
-
-    def test_shard_index_bakes_in_preceding_totals(self, sharded):
-        release, leaves = sharded
-        index1 = release.shard_index(1)
-        assert index1[0] == pytest.approx(leaves[:4].sum())
-        assert index1[-1] == pytest.approx(leaves[:7].sum())
-        assert release.boundary_prefix.tolist() == pytest.approx(
-            [0.0, leaves[:4].sum(), leaves[:7].sum(), leaves.sum()]
-        )
-        assert release.shard_totals.tolist() == pytest.approx(
-            [leaves[:4].sum(), leaves[4:7].sum(), leaves[7:].sum()]
-        )
 
     def test_shard_count_mismatch_rejected(self, sharded):
         release, _ = sharded
@@ -121,7 +110,7 @@ class TestRouterAnswers:
         batch = QueryBatch.random(10, 500, rng=rng)
         router = ShardRouter()
         fast = router.answer(release, batch)
-        stitched = router.answer_stitched(release, batch)
+        stitched = answer_stitched(release, batch)
         np.testing.assert_allclose(stitched, fast, rtol=1e-12, atol=1e-9)
 
     def test_single_shard_and_whole_domain(self, rng):
@@ -141,7 +130,7 @@ class TestRouterAnswers:
         batch = QueryBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         router = ShardRouter()
         assert router.answer(release, batch).size == 0
-        assert router.answer_stitched(release, batch).size == 0
+        assert answer_stitched(release, batch).size == 0
 
     def test_out_of_domain_batch_rejected(self, sharded):
         release, _ = sharded
@@ -149,51 +138,4 @@ class TestRouterAnswers:
         batch = QueryBatch.from_pairs([(0, 10)])
         with pytest.raises(QueryError, match="beyond"):
             router.answer(release, batch)
-        with pytest.raises(QueryError, match="beyond"):
-            router.answer_stitched(release, batch)
-        with pytest.raises(QueryError, match="beyond"):
-            router.decompose(release.plan, batch)
 
-
-class TestDecomposition:
-    def test_interior_query_is_one_piece(self, sharded):
-        release, _ = sharded
-        routed = ShardRouter().decompose(release.plan, QueryBatch.from_pairs([(4, 6)]))
-        assert routed.num_pieces.tolist() == [1]
-        assert routed.pieces(0) == [(1, 0, 2, "interior")]
-
-    def test_spanning_query_pieces(self, sharded):
-        release, _ = sharded
-        routed = ShardRouter().decompose(release.plan, QueryBatch.from_pairs([(2, 9)]))
-        assert routed.num_pieces.tolist() == [3]
-        assert routed.pieces(0) == [
-            (0, 2, 3, "left-partial"),
-            (1, 0, 2, "full"),
-            (2, 0, 2, "right-partial"),
-        ]
-        assert routed.full_spans.tolist() == [1]
-
-    def test_pieces_partition_the_range_exactly(self, rng):
-        plan = ShardPlan.uniform(64, 7)
-        leaves = rng.integers(0, 9, size=64).astype(float)
-        shards = [shard_release(leaves[plan.slice_of(s)], s) for s in range(7)]
-        release = ShardedRelease(plan, shards, dataset_fingerprint="x")
-        batch = QueryBatch.random(64, 200, rng=rng)
-        routed = ShardRouter().decompose(plan, batch)
-        for i in range(len(batch)):
-            covered = []
-            for shard, lo, hi, kind in routed.pieces(i):
-                start = int(plan.boundaries[shard])
-                assert 0 <= lo <= hi < int(plan.sizes[shard])
-                covered.extend(range(start + lo, start + hi + 1))
-            assert covered == list(range(batch.los[i], batch.his[i] + 1))
-
-    def test_at_most_two_partial_pieces(self, rng):
-        plan = ShardPlan.uniform(100, 10)
-        batch = QueryBatch.random(100, 300, rng=rng)
-        routed = ShardRouter().decompose(plan, batch)
-        for i in range(len(batch)):
-            kinds = [kind for _, _, _, kind in routed.pieces(i)]
-            partials = [k for k in kinds if k.endswith("-partial")]
-            assert len(partials) <= 2
-            assert len(kinds) == routed.num_pieces[i]

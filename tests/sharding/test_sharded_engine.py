@@ -14,6 +14,7 @@ from repro.serving.cache import ReleaseCache
 from repro.serving.engine import HistogramEngine
 from repro.serving.planner import QueryBatch
 from repro.serving.store import ReleaseStore
+from repro.sharding import engine as sharding_engine
 from repro.sharding.engine import (
     ShardedHistogramEngine,
     build_shard_releases,
@@ -160,6 +161,27 @@ class TestShardIdentities:
         assert np.array_equal(
             mono_release.unit_counts(), release.shard_releases[2].unit_counts()
         )
+
+
+    def test_warm_submits_derive_no_shard_seeds(self, counts, monkeypatch):
+        engine = ShardedHistogramEngine(counts, 1.0, num_shards=4)
+        batch = QueryBatch.random(counts.size, 10, rng=0)
+        engine.submit(batch, "constrained", epsilon=0.1, seed=3)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_shard_seed(*args)
+
+        monkeypatch.setattr(sharding_engine, "derive_shard_seed", counting)
+        for _ in range(3):
+            result = engine.submit(batch, "H_bar", epsilon=0.1, seed=3)
+            assert result.from_cache
+        assert calls == []
+        assert engine.spent_epsilon == pytest.approx(0.1)
+        # A new identity still derives one seed per shard.
+        engine.submit(batch, "constrained", epsilon=0.1, seed=4)
+        assert len(calls) == 4
 
 
 class TestStoreIntegration:
